@@ -171,8 +171,9 @@ fn reserved_frame_complete(buffer: &[u8]) -> bool {
     frame.len() >= header_end + 2 + payload_len + 2
 }
 
-/// Reads one full HTTP response (headers plus `Content-Length` body).
-fn read_http_response(endpoint: &Endpoint) -> Option<Vec<u8>> {
+/// Reads one full HTTP response (headers plus `Content-Length` body);
+/// `None` if the server closes or stalls before the response is complete.
+pub fn read_http_response(endpoint: &Endpoint) -> Option<Vec<u8>> {
     // One overall deadline for the whole response, not per read: a server
     // trickling bytes without ever completing the header must still fail
     // the request in bounded time.

@@ -18,12 +18,15 @@
 //!   synchronously on the critical path.
 //! * [`presets`] — per-system cost presets (Mx, Orchestra, Tachyon) derived
 //!   from the interposition work each system performs.
+//! * [`pump`] — VARAN's own discarded first design (one queue per follower
+//!   plus a central event pump), the ablation baseline for the shared ring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod lockstep;
 pub mod presets;
+pub mod pump;
 pub mod scribe;
 
 pub use lockstep::{run_lockstep, LockstepConfig, LockstepReport};

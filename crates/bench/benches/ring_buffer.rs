@@ -23,7 +23,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use varan_ring::{Event, EventPump, PoolAllocator, PumpQueue, RingBuffer, WaitStrategy};
+use varan_baselines::pump::{EventPump, PumpQueue};
+use varan_ring::{Event, PoolAllocator, RingBuffer, WaitStrategy};
 
 const BATCH: u64 = 4_096;
 const RING_CAPACITY: usize = 1024;

@@ -37,6 +37,7 @@ use varan_core::VersionProgram;
 use varan_kernel::Kernel;
 use varan_sim::{run_explore, run_sweep, ExploreConfig, ExploreReport, SweepConfig};
 
+use crate::extract_number;
 use crate::openloop::{
     closed_loop_latencies, open_loop_latencies, percentile, run_open_loop, OpenLoopConfig,
     OpenLoopReport, ServerKind, ALL_SERVERS,
@@ -415,25 +416,6 @@ pub fn render(report: &ExploreBenchReport) -> String {
         }
     }
     out
-}
-
-fn extract_number(json: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\"");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("missing key {key:?}"))?;
-    let rest = &json[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("malformed entry for {key:?} (no colon)"))?
-        .trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|err| format!("malformed number for {key:?}: {err}"))
 }
 
 /// Validates a `BENCH_explore.json` file against every acceptance gate:

@@ -15,31 +15,26 @@
 //! | [`spec`] | Figures 7 and 8 — SPEC CPU2000/2006 scaling |
 //! | [`comparison`] | Table 2 — comparison with Mx, Orchestra, Tachyon |
 //! | [`scenarios`] | §5.1–§5.4 — failover, multi-revision execution, live sanitization, record-replay |
-//! | [`ringbench`] | machine-readable ring/pool throughput (`BENCH_ring.json`) |
-//! | [`fleetbench`] | machine-readable elastic-fleet churn scenario (`BENCH_fleet.json`) |
-//! | [`churnbench`] | machine-readable catch-up-vs-journal-growth scenario (`BENCH_churn.json`) |
 //! | [`upgradebench`] | machine-readable zero-downtime rolling upgrade (`BENCH_upgrade.json`) |
 //! | [`simbench`] | machine-readable deterministic-simulation sweep (`BENCH_sim.json`) |
 //! | [`explorebench`] | machine-readable coverage-guided exploration + adversarial/open-loop acceptance (`BENCH_explore.json`) |
 //! | [`openloop`] | open-loop workload model and CO-free live latency runner |
-//! | [`obsbench`] | machine-readable telemetry-plane overhead/endpoint/determinism check (`BENCH_obs.json`) |
 //! | [`report`] | plain-text rendering of the results |
+//!
+//! Wall-clock performance of the ring, journal, fleet, shard and telemetry
+//! layers is measured by the standalone `benchmark/` package (repeated
+//! trials with noise bounds; metric names in `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod churnbench;
 pub mod comparison;
 pub mod explorebench;
-pub mod fleetbench;
 pub mod microbench;
-pub mod obsbench;
 pub mod openloop;
 pub mod report;
-pub mod ringbench;
 pub mod scenarios;
 pub mod servers;
-pub mod shardbench;
 pub mod simbench;
 pub mod spec;
 pub mod upgradebench;
@@ -62,5 +57,41 @@ impl Scale {
             Scale::Quick => base,
             Scale::Full => base * 8,
         }
+    }
+}
+
+/// Extracts the number following `"key":` inside `json` — the minimal parser
+/// the `--check-*` gates use to read back the `BENCH_*.json` files this crate
+/// writes.
+pub(crate) fn extract_number(json: &str, key: &str) -> Result<f64, String> {
+    let needle = format!("\"{key}\"");
+    let at = json
+        .find(&needle)
+        .ok_or_else(|| format!("missing key {key:?}"))?;
+    let rest = &json[at + needle.len()..];
+    let rest = rest
+        .trim_start()
+        .strip_prefix(':')
+        .ok_or_else(|| format!("malformed entry for {key:?} (no colon)"))?
+        .trim_start();
+    let end = rest
+        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
+        .unwrap_or(rest.len());
+    rest[..end]
+        .parse::<f64>()
+        .map_err(|err| format!("malformed number for {key:?}: {err}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::extract_number;
+
+    #[test]
+    fn number_extractor_rejects_malformed_json() {
+        assert_eq!(extract_number("{\"seeds\": 12, \"x\": -1.5e3}", "x"), Ok(-1500.0));
+        assert!(extract_number("{\"schema\": \"varan-bench-sim/v1\"}", "seeds").is_err());
+        assert!(extract_number("not json at all", "seeds").is_err());
+        assert!(extract_number("{\"seeds\" 12}", "seeds").is_err());
+        assert!(extract_number("{\"seeds\": \"twelve\"}", "seeds").is_err());
     }
 }

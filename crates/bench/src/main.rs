@@ -10,8 +10,8 @@
 //! a few minutes on a laptop; `--full` uses larger workloads.
 
 use varan_bench::{
-    churnbench, comparison, explorebench, fleetbench, microbench, obsbench, report, ringbench,
-    scenarios, servers, shardbench, simbench, spec, upgradebench, Scale,
+    comparison, explorebench, microbench, report, scenarios, servers, simbench, spec,
+    upgradebench, Scale,
 };
 
 #[derive(Debug, Default)]
@@ -27,24 +27,15 @@ struct Options {
     multirev: bool,
     sanitize: bool,
     recreplay: bool,
-    fig_fleet: bool,
     fig_upgrade: bool,
-    fig_shard: bool,
-    fig_churn_compact: bool,
-    fig_obs: bool,
     obs_dump: bool,
     sim_sweep: bool,
     fig_explore: bool,
     check_explore: bool,
     replay_plan: Option<String>,
     explore_plans: u64,
-    check_ring: bool,
-    check_fleet: bool,
     check_upgrade: bool,
     check_sim: bool,
-    check_shard: bool,
-    check_churn_compact: bool,
-    check_obs: bool,
     sim_seeds: u64,
     sim_base_seed: u64,
     full: bool,
@@ -107,24 +98,15 @@ impl Options {
                 "--multirev" => options.multirev = true,
                 "--sanitize" => options.sanitize = true,
                 "--recreplay" => options.recreplay = true,
-                "--fig-fleet" => options.fig_fleet = true,
                 "--fig-upgrade" => options.fig_upgrade = true,
-                "--fig-shard" => options.fig_shard = true,
-                "--fig-churn-compact" => options.fig_churn_compact = true,
-                "--fig-obs" => options.fig_obs = true,
                 "--obs-dump" => options.obs_dump = true,
                 "--sim-sweep" => options.sim_sweep = true,
                 "--fig-explore" => options.fig_explore = true,
                 "--check-explore" => options.check_explore = true,
                 // Action flags: a standalone `--check-*` must validate the
                 // existing file, not regenerate it via the default subset.
-                "--check-ring" => options.check_ring = true,
-                "--check-fleet" => options.check_fleet = true,
                 "--check-upgrade" => options.check_upgrade = true,
                 "--check-sim" => options.check_sim = true,
-                "--check-shard" => options.check_shard = true,
-                "--check-churn-compact" => options.check_churn_compact = true,
-                "--check-obs" => options.check_obs = true,
                 "--full" => {
                     options.full = true;
                     continue;
@@ -141,19 +123,13 @@ impl Options {
                     options.multirev = true;
                     options.sanitize = true;
                     options.recreplay = true;
-                    options.fig_fleet = true;
                     options.fig_upgrade = true;
-                    options.fig_shard = true;
-                    options.fig_churn_compact = true;
-                    options.fig_obs = true;
                 }
                 "--help" | "-h" => {
                     println!(
                         "usage: figures [--all] [--full] [--fig4 --fig5 --fig6 --fig7 --fig8]\n\
                          \x20              [--table1 --table2] [--failover --multirev --sanitize --recreplay]\n\
-                         \x20              [--fig-fleet] [--fig-upgrade] [--fig-shard] [--check-ring]\n\
-                         \x20              [--fig-churn-compact] [--check-churn-compact]\n\
-                         \x20              [--check-fleet] [--check-upgrade] [--check-shard]\n\
+                         \x20              [--fig-upgrade] [--check-upgrade] [--obs-dump]\n\
                          \x20              [--sim-sweep [--seeds N] [--sim-seed S]] [--check-sim]\n\
                          \x20              [--fig-explore [--plans N]] [--check-explore]\n\
                          \x20              [--replay-plan FILE]\n\
@@ -170,41 +146,17 @@ impl Options {
                          --replay-plan FILE replays a varan-plan/v1 file (as emitted in\n\
                          \"failure_plans\") twice and exits non-zero on any invariant\n\
                          failure or reproducibility mismatch.\n\
-                         --fig5 also writes {path} (ring/pool throughput);\n\
-                         --check-ring validates {path} and exits non-zero if it is malformed,\n\
-                         the disruptor does not beat the event-pump baseline at 3 followers,\n\
-                         the follower staging path copied payload bytes, the zero-copy consume\n\
-                         is below 1.5x the copy baseline, or a planted divergence went undetected.\n\
-                         --fig-fleet runs the elastic-fleet churn scenario and writes {fleet};\n\
-                         --check-fleet validates {fleet} (leader throughput during churn must\n\
-                         stay above 50% of the no-churn baseline).\n\
                          --fig-upgrade drives the 8-revision Redis rolling upgrade under live\n\
                          traffic and writes {upgrade}; --check-upgrade validates {upgrade}\n\
                          (zero failed client requests, >= 6 promotions, the bad revision\n\
                          rolled back).\n\
-                         --fig-shard measures the sharded data plane (4-shard vs 1-shard\n\
-                         aggregate throughput plus the 64-connection mixed-protocol spread)\n\
-                         and writes {shard}; --check-shard validates {shard} (>= 3x aggregate\n\
-                         speedup, per-shard event balance, convergence).\n\
-                         --fig-churn-compact runs joiner churn against a short and a 10x\n\
-                         journal and writes {churn}; --check-churn-compact validates {churn}\n\
-                         (catch-up stays checkpoint-bounded while the journal grows).\n\
-                         --fig-obs measures the telemetry plane (instrumented-vs-off hot-path\n\
-                         overhead, a mid-run /varan/metrics scrape under N-version execution,\n\
-                         a same-seed trace-ring determinism pair) and writes {obs};\n\
-                         --check-obs validates {obs} (overhead <= 3%, live schema-stamped\n\
-                         scrape with nonzero counters and a promote-latency sample,\n\
-                         bit-identical trace rings).  --obs-dump prints the process-global\n\
-                         registry snapshot (JSON then prometheus text) after the requested\n\
-                         figures have run.",
-                        churn = varan_bench::churnbench::DEFAULT_PATH,
-                        shard = varan_bench::shardbench::DEFAULT_PATH,
-                        path = varan_bench::ringbench::DEFAULT_PATH,
-                        fleet = varan_bench::fleetbench::DEFAULT_PATH,
+                         --obs-dump prints the process-global telemetry registry snapshot\n\
+                         (JSON then prometheus text) after the requested figures have run.\n\
+                         Wall-clock performance of the ring, journal, fleet, shard and\n\
+                         telemetry layers is measured by `bash benchmark/run.sh`.",
                         upgrade = varan_bench::upgradebench::DEFAULT_PATH,
                         sim = varan_bench::simbench::DEFAULT_PATH,
                         explore = varan_bench::explorebench::DEFAULT_PATH,
-                        obs = varan_bench::obsbench::DEFAULT_PATH,
                     );
                     std::process::exit(0);
                 }
@@ -261,14 +213,6 @@ fn main() {
     if options.fig5 {
         let series = servers::figure_5(scale, max_followers);
         println!("{}", report::render_server_figure("Figure 5", &series));
-        // The machine-readable counterpart: the event-streaming hot path
-        // measured directly, recorded for future PRs to regress against.
-        let ring_report = ringbench::run(scale);
-        println!("{}", ring_report.render());
-        match ring_report.write_to(ringbench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", ringbench::DEFAULT_PATH),
-            Err(err) => eprintln!("warning: could not write {}: {err}", ringbench::DEFAULT_PATH),
-        }
     }
     if options.fig6 {
         let series = servers::figure_6(scale, max_followers);
@@ -317,17 +261,6 @@ fn main() {
         let result = scenarios::record_replay(operations);
         println!("{}", report::render_record_replay(&result));
     }
-    if options.fig_fleet {
-        let fleet_report = fleetbench::run(scale);
-        println!("{}", fleet_report.render());
-        match fleet_report.write_to(fleetbench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", fleetbench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                fleetbench::DEFAULT_PATH
-            ),
-        }
-    }
     if options.fig_upgrade {
         let upgrade_report = upgradebench::run(scale);
         println!("{}", upgrade_report.render());
@@ -336,39 +269,6 @@ fn main() {
             Err(err) => eprintln!(
                 "warning: could not write {}: {err}",
                 upgradebench::DEFAULT_PATH
-            ),
-        }
-    }
-    if options.fig_shard {
-        let shard_report = shardbench::run(scale);
-        println!("{}", shard_report.render());
-        match shard_report.write_to(shardbench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", shardbench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                shardbench::DEFAULT_PATH
-            ),
-        }
-    }
-    if options.fig_churn_compact {
-        let churn_report = churnbench::run(scale);
-        println!("{}", churn_report.render());
-        match churn_report.write_to(churnbench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", churnbench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                churnbench::DEFAULT_PATH
-            ),
-        }
-    }
-    if options.fig_obs {
-        let obs_report = obsbench::run(scale);
-        println!("{}", obs_report.render());
-        match obs_report.write_to(obsbench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", obsbench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                obsbench::DEFAULT_PATH
             ),
         }
     }
@@ -442,24 +342,6 @@ fn main() {
             }
         }
     }
-    if options.check_ring {
-        match ringbench::validate_file(ringbench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", ringbench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_ring check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if options.check_fleet {
-        match fleetbench::validate_file(fleetbench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", fleetbench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_fleet check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
     if options.check_upgrade {
         match upgradebench::validate_file(upgradebench::DEFAULT_PATH) {
             Ok(()) => println!("{} OK", upgradebench::DEFAULT_PATH),
@@ -474,33 +356,6 @@ fn main() {
             Ok(()) => println!("{} OK", simbench::DEFAULT_PATH),
             Err(err) => {
                 eprintln!("BENCH_sim check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if options.check_shard {
-        match shardbench::validate_file(shardbench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", shardbench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_shard check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if options.check_churn_compact {
-        match churnbench::validate_file(churnbench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", churnbench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_churn check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if options.check_obs {
-        match obsbench::validate_file(obsbench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", obsbench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_obs check failed: {err}");
                 std::process::exit(1);
             }
         }

@@ -20,6 +20,8 @@ use std::path::Path;
 
 use varan_sim::{run_sweep, SweepConfig, SweepReport};
 
+use crate::extract_number;
+
 /// Schema identifier stamped into the JSON.
 pub const SCHEMA: &str = "varan-bench-sim/v1";
 
@@ -168,25 +170,6 @@ pub fn render(report: &SweepReport) -> String {
         }
     }
     out
-}
-
-fn extract_number(json: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\"");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("missing key {key:?}"))?;
-    let rest = &json[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("malformed entry for {key:?} (no colon)"))?
-        .trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|err| format!("malformed number for {key:?}: {err}"))
 }
 
 /// Validates a `BENCH_sim.json` file: schema marker, a real sweep (seeds,

@@ -33,7 +33,7 @@ use varan_core::upgrade::{UpgradeConfig, UpgradeOrchestrator};
 use varan_kernel::Kernel;
 
 use crate::servers::fresh_port;
-use crate::Scale;
+use crate::{extract_number, Scale};
 
 /// Schema identifier stamped into the JSON.
 pub const SCHEMA: &str = "varan-bench-upgrade/v1";
@@ -322,27 +322,6 @@ impl UpgradeBenchReport {
         );
         out
     }
-}
-
-/// Extracts the number following `"key":` inside `json` (same minimal
-/// parser shape as `ringbench`/`fleetbench`).
-fn extract_number(json: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\"");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("missing key {key:?}"))?;
-    let rest = &json[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("malformed entry for {key:?} (no colon)"))?
-        .trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|err| format!("malformed number for {key:?}: {err}"))
 }
 
 /// Validates a `BENCH_upgrade.json` file: schema marker present, **zero

@@ -24,10 +24,10 @@
 //!   to; isolated instances (`Registry::new()`) exist so deterministic
 //!   simulation runs and exact-count tests never observe each other.
 //!
-//! The whole plane can be switched off ([`set_enabled`]) — the overhead
-//! bench (`figures --fig-obs`) measures instrumented-vs-uninstrumented
-//! hot-path throughput through exactly this switch and gates the difference
-//! at ≤3%.
+//! The whole plane can be switched off ([`set_enabled`]) — the `benchmark/`
+//! package measures instrumented-vs-uninstrumented workload throughput
+//! through exactly this switch and reports the difference as
+//! `obs.hot_overhead_pct`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

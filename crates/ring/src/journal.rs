@@ -252,8 +252,8 @@ impl JournalRecord {
     /// The result is not decodable — [`JournalRecord::decode_from`] will
     /// report it truncated or checksum-mismatched.  This exists so the
     /// benchmark suite can measure the checksum's cost on the leader's
-    /// spill path (`BENCH_ring.json`); every production writer goes through
-    /// [`JournalRecord::encode_into`].
+    /// spill path (`ring.journal.encode_nocrc_ns_4k` in `benchmark/`); every
+    /// production writer goes through [`JournalRecord::encode_into`].
     pub fn encode_into_unchecked(&self, out: &mut Vec<u8>) {
         out.push(self.kind as u8);
         out.extend_from_slice(&self.sysno.to_le_bytes());

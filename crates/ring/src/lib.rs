@@ -20,8 +20,6 @@
 //!   across the ring buffers of a multi-threaded application (§3.3.3).
 //! * [`PoolAllocator`] — the bucketed shared-memory pool allocator used for
 //!   out-of-line system-call payloads (§3.3.4).
-//! * [`EventPump`] — the paper's *discarded* first design (one queue per
-//!   follower plus a central pump), kept as an ablation baseline.
 //! * [`journal`] — the segmented, disk-backed spill journal that extends the
 //!   bounded in-memory ring into an unbounded catch-up log for followers
 //!   that join (or lag) at runtime, with retention anchored at the oldest
@@ -64,7 +62,6 @@ pub mod crc32c;
 mod error;
 mod event;
 pub mod journal;
-mod pump;
 mod ring;
 mod sequence;
 pub mod shard;
@@ -81,7 +78,6 @@ pub use journal::{
     EventJournal, JournalConfig, JournalError, JournalFaults, JournalRecord, ScrubKind,
     ScrubReport,
 };
-pub use pump::{EventPump, PumpQueue};
 pub use ring::{Consumer, Producer, RingBuffer, WaitStrategy};
 pub use sequence::Sequence;
 pub use shard::{shard_for_key, Shard, ShardError, ShardSet, ShardSpec};

@@ -3,8 +3,7 @@
 //! Varan's original design (and this reproduction's PR 1–5 layers) funnels
 //! every event through **one** shared ring, so every follower contends on a
 //! single gating sequence and aggregate throughput stops scaling the moment
-//! a second consumer appears (BENCH_ring.json: 46.1M events/s with one
-//! follower, 28.7M with three).  A [`ShardSet`] removes that ceiling by
+//! a second consumer appears.  A [`ShardSet`] removes that ceiling by
 //! partitioning the event stream into `N` fully independent shards — each
 //! with its own ring buffer (own leader cursor, own gating sequences), its
 //! own payload pool, and its own journal (own `seg-<shard>-*.vrj` segment

@@ -7,12 +7,18 @@
 use std::time::Duration;
 
 use varan::core::coordinator::{NvxConfig, NvxSystem};
-use varan::core::fleet::FleetConfig;
+use varan::core::fleet::{FleetConfig, FleetController};
 use varan::core::program::{ProgramExit, SyscallInterface, VersionProgram};
 use varan::kernel::syscall::SyscallRequest;
 use varan::kernel::{Kernel, Sysno};
 
-/// A steady stream of system calls with out-of-line payloads mixed in.
+/// Created by a test to end [`SustainedLoad`] before its last iteration.
+const STOP_FILE: &str = "/stop";
+
+/// A steady stream of system calls with out-of-line payloads mixed in, for
+/// `iterations` rounds or until [`STOP_FILE`] exists.  The leader's `open`
+/// result is replayed to every follower, so all versions stop at the same
+/// event.
 struct SustainedLoad {
     name: String,
     iterations: u32,
@@ -30,6 +36,11 @@ impl VersionProgram for SustainedLoad {
             sys.read(fd as i32, 64);
             if i % 16 == 0 {
                 sys.time();
+                let stop = sys.open(STOP_FILE, 0);
+                if stop >= 0 {
+                    sys.close(stop as i32);
+                    break;
+                }
             }
         }
         sys.close(fd as i32);
@@ -119,6 +130,83 @@ fn mid_run_joiner_converges_to_the_from_start_stream() {
         report.events_published - late.start_sequence
     );
     assert!(late.catch_up_latency().is_some());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn wait_for_tail(fleet: &FleetController, sequence: u64) {
+    while fleet.journal().tail_sequence() < sequence {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn joiner_after_compaction_converges_to_the_from_start_stream() {
+    const SEGMENT: u64 = 256;
+    let kernel = Kernel::new();
+    let dir = journal_dir("compact");
+    let mut fleet_config = FleetConfig::new(&dir)
+        .with_spares(10)
+        .with_auto_rearm(false)
+        .with_record_stream(true);
+    fleet_config.journal = fleet_config.journal.with_segment_records(SEGMENT as usize);
+    let config = NvxConfig::default().with_fleet(fleet_config);
+    let running = NvxSystem::launch(&kernel, versions(1_000_000), config).unwrap();
+    let fleet = running.fleet().expect("fleet enabled");
+
+    let early = fleet.attach("from-start").unwrap();
+    assert!(
+        early.wait_live(Duration::from_secs(30)),
+        "{:?}",
+        early.failure()
+    );
+
+    // A joiner going live moves the retention anchor to the tail; once the
+    // segment holding the anchor seals, everything below it is dead.  The
+    // fleet also compacts by itself when the anchor moves, so if the leader
+    // sealed that segment first there is nothing left for the explicit
+    // call: churn another joiner.
+    let mut dropped = 0;
+    for i in 0..8 {
+        let joiner = fleet.attach(&format!("churn-{i}")).unwrap();
+        assert!(
+            joiner.wait_live(Duration::from_secs(30)),
+            "{:?}",
+            joiner.failure()
+        );
+        wait_for_tail(&fleet, fleet.journal().tail_sequence() + SEGMENT);
+        dropped = fleet.compact_journal().unwrap();
+        if dropped > 0 {
+            break;
+        }
+    }
+    assert!(dropped > 0, "compaction dropped no records");
+
+    let late = fleet.attach("after-compaction").unwrap();
+    assert!(
+        late.wait_live(Duration::from_secs(30)),
+        "{:?}",
+        late.failure()
+    );
+    kernel.populate_file(STOP_FILE, Vec::new()).unwrap();
+    let report = running.wait();
+    assert!(report.all_clean(), "exits: {:?}", report.exits);
+
+    // The post-compaction joiner drained the stream to its end and agrees
+    // with the from-start observer sequence-for-sequence.
+    let early_stream = early.stream();
+    let late_stream = late.stream();
+    assert_eq!(
+        late_stream.last().map(|r| r.seq),
+        Some(report.events_published - 1)
+    );
+    let offset = (late.start_sequence - early.start_sequence) as usize;
+    assert!(!late_stream.is_empty());
+    assert_eq!(&early_stream[offset..], &late_stream[..]);
+    assert_eq!(
+        late.events_observed(),
+        report.events_published - late.start_sequence
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use varan::apps::clients::{connect_retry, redis_benchmark, wrk};
+use varan::apps::clients::{connect_retry, read_http_response, redis_benchmark, wrk};
 use varan::apps::revisions::{lighttpd_rules, redis_revision_set};
 use varan::apps::servers::httpd::{revs, HttpServer};
 use varan::apps::servers::kvstore::KvServer;
@@ -256,4 +256,79 @@ fn run_nvx_convenience_wrapper_matches_launch_and_wait() {
     .unwrap();
     assert_eq!(report.versions.len(), 3);
     assert!(report.all_clean());
+}
+
+/// One HTTP GET over the virtual network; returns (status is `200 OK`, body).
+fn http_get(kernel: &Kernel, port: u16, path: &str) -> (bool, String) {
+    let endpoint = connect_retry(kernel, port, Duration::from_secs(20)).expect("connect");
+    endpoint
+        .write(format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())
+        .expect("send request");
+    let response = read_http_response(&endpoint).expect("complete response");
+    endpoint.close();
+    let text = String::from_utf8_lossy(&response).into_owned();
+    let body_at = text.find("\r\n\r\n").map_or(text.len(), |at| at + 4);
+    (
+        text.starts_with("HTTP/1.1 200 OK"),
+        text[body_at..].to_owned(),
+    )
+}
+
+/// The integer following `"key": ` in a telemetry snapshot's JSON.
+fn snapshot_counter(json: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\": ");
+    let at = json
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{key} missing: {json}"));
+    let digits: String = json[at + needle.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is not a counter: {json}"))
+}
+
+#[test]
+fn metrics_endpoint_serves_live_counters_under_nvx() {
+    // Two lighttpd versions on a 64-slot ring: the follower must stay within
+    // a lap of the leader, so by the time the scrape renders events have been
+    // both published and replayed — and serving the scrape itself must not
+    // make the versions diverge.
+    let kernel = web_kernel();
+    let port = 25_701;
+    let connections = 32u64;
+    let versions: Vec<Box<dyn VersionProgram>> = (0..2)
+        .map(|_| {
+            Box::new(HttpServer::lighttpd(
+                ServerConfig::on_port(port).with_connections(connections),
+            )) as Box<dyn VersionProgram>
+        })
+        .collect();
+    let client_kernel = kernel.clone();
+    let client = std::thread::spawn(move || {
+        for _ in 0..connections - 3 {
+            assert!(http_get(&client_kernel, port, "/index.html").0);
+        }
+        let json = http_get(&client_kernel, port, "/varan/metrics");
+        let prom = http_get(&client_kernel, port, "/varan/metrics.prom");
+        assert!(http_get(&client_kernel, port, "/index.html").0);
+        (json, prom)
+    });
+    let running = NvxSystem::launch(
+        &kernel,
+        versions,
+        NvxConfig::default().with_ring_capacity(64),
+    )
+    .unwrap();
+    let ((json_ok, json), (prom_ok, prom)) = client.join().unwrap();
+    let report = running.wait();
+
+    assert!(json_ok, "metrics scrape failed: {json}");
+    assert!(json.contains(varan_obs::SNAPSHOT_SCHEMA), "{json}");
+    assert!(snapshot_counter(&json, "events_published_total") > 0);
+    assert!(snapshot_counter(&json, "events_replayed_total") > 0);
+    assert!(prom_ok, "prometheus scrape failed: {prom}");
+    assert!(prom.contains("# TYPE varan_"), "{prom}");
+    assert!(report.all_clean(), "{:?}", report.exits);
 }
