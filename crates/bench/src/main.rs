@@ -9,10 +9,7 @@
 //! Without `--full` the workloads are scaled down so the whole suite runs in
 //! a few minutes on a laptop; `--full` uses larger workloads.
 
-use varan_bench::{
-    comparison, explorebench, microbench, report, scenarios, servers, simbench, spec,
-    upgradebench, Scale,
-};
+use varan_bench::{comparison, microbench, report, scenarios, servers, spec, Scale};
 
 #[derive(Debug, Default)]
 struct Options {
@@ -27,65 +24,15 @@ struct Options {
     multirev: bool,
     sanitize: bool,
     recreplay: bool,
-    fig_upgrade: bool,
     obs_dump: bool,
-    sim_sweep: bool,
-    fig_explore: bool,
-    check_explore: bool,
-    replay_plan: Option<String>,
-    explore_plans: u64,
-    check_upgrade: bool,
-    check_sim: bool,
-    sim_seeds: u64,
-    sim_base_seed: u64,
     full: bool,
 }
 
 impl Options {
     fn parse(args: &[String]) -> Options {
         let mut options = Options::default();
-        options.sim_seeds = 1_000;
-        options.explore_plans = 48;
         let mut any = false;
-        let mut sim_values_given = false;
-        let mut plans_given = false;
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            // Value-taking flags first.
-            match arg.as_str() {
-                "--plans" => {
-                    let Some(value) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                        eprintln!("{arg} requires a numeric value");
-                        std::process::exit(2);
-                    };
-                    options.explore_plans = value.max(1);
-                    plans_given = true;
-                    continue;
-                }
-                "--replay-plan" => {
-                    let Some(value) = args.next() else {
-                        eprintln!("{arg} requires a plan file path");
-                        std::process::exit(2);
-                    };
-                    options.replay_plan = Some(value.clone());
-                    any = true;
-                    continue;
-                }
-                "--seeds" | "--sim-seed" => {
-                    let Some(value) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                        eprintln!("{arg} requires a numeric value");
-                        std::process::exit(2);
-                    };
-                    if arg == "--seeds" {
-                        options.sim_seeds = value.max(1);
-                    } else {
-                        options.sim_base_seed = value;
-                    }
-                    sim_values_given = true;
-                    continue;
-                }
-                _ => {}
-            }
+        for arg in args {
             match arg.as_str() {
                 "--fig4" => options.fig4 = true,
                 "--fig5" => options.fig5 = true,
@@ -98,15 +45,7 @@ impl Options {
                 "--multirev" => options.multirev = true,
                 "--sanitize" => options.sanitize = true,
                 "--recreplay" => options.recreplay = true,
-                "--fig-upgrade" => options.fig_upgrade = true,
                 "--obs-dump" => options.obs_dump = true,
-                "--sim-sweep" => options.sim_sweep = true,
-                "--fig-explore" => options.fig_explore = true,
-                "--check-explore" => options.check_explore = true,
-                // Action flags: a standalone `--check-*` must validate the
-                // existing file, not regenerate it via the default subset.
-                "--check-upgrade" => options.check_upgrade = true,
-                "--check-sim" => options.check_sim = true,
                 "--full" => {
                     options.full = true;
                     continue;
@@ -123,40 +62,19 @@ impl Options {
                     options.multirev = true;
                     options.sanitize = true;
                     options.recreplay = true;
-                    options.fig_upgrade = true;
                 }
                 "--help" | "-h" => {
                     println!(
                         "usage: figures [--all] [--full] [--fig4 --fig5 --fig6 --fig7 --fig8]\n\
                          \x20              [--table1 --table2] [--failover --multirev --sanitize --recreplay]\n\
-                         \x20              [--fig-upgrade] [--check-upgrade] [--obs-dump]\n\
-                         \x20              [--sim-sweep [--seeds N] [--sim-seed S]] [--check-sim]\n\
-                         \x20              [--fig-explore [--plans N]] [--check-explore]\n\
-                         \x20              [--replay-plan FILE]\n\
-                         --sim-sweep runs the deterministic simulation sweep (N seeded fault\n\
-                         scenarios, default 1000 starting at S, default 0) and writes {sim};\n\
-                         --check-sim validates {sim} and exits non-zero on any failing seed or\n\
-                         any same-seed reproducibility mismatch (see docs/SIMULATION.md).\n\
-                         --fig-explore runs the coverage-guided fault explorer against an\n\
-                         equal-plan-count random baseline (N plans, default 48), the\n\
-                         adversarial-client catalog and a CO-free open-loop latency run on\n\
-                         all four servers, and writes {explore}; --check-explore validates\n\
-                         {explore} (guided >= 3x the baseline's distinct schedules, composed\n\
-                         plans >= 1%, zero mismatches/failures, all 16 adversarial cells).\n\
-                         --replay-plan FILE replays a varan-plan/v1 file (as emitted in\n\
-                         \"failure_plans\") twice and exits non-zero on any invariant\n\
-                         failure or reproducibility mismatch.\n\
-                         --fig-upgrade drives the 8-revision Redis rolling upgrade under live\n\
-                         traffic and writes {upgrade}; --check-upgrade validates {upgrade}\n\
-                         (zero failed client requests, >= 6 promotions, the bad revision\n\
-                         rolled back).\n\
+                         \x20              [--obs-dump]\n\
                          --obs-dump prints the process-global telemetry registry snapshot\n\
                          (JSON then prometheus text) after the requested figures have run.\n\
                          Wall-clock performance of the ring, journal, fleet, shard and\n\
-                         telemetry layers is measured by `bash benchmark/run.sh`.",
-                        upgrade = varan_bench::upgradebench::DEFAULT_PATH,
-                        sim = varan_bench::simbench::DEFAULT_PATH,
-                        explore = varan_bench::explorebench::DEFAULT_PATH,
+                         telemetry layers is measured by `bash benchmark/run.sh`. The\n\
+                         simulation and exploration gates run under\n\
+                         `cargo test --release -p varan-sim`, the rolling-upgrade gate\n\
+                         under `cargo test --release --test live_upgrade`."
                     );
                     std::process::exit(0);
                 }
@@ -166,17 +84,6 @@ impl Options {
                 }
             }
             any = true;
-        }
-        if sim_values_given && !options.sim_sweep {
-            // `--seeds`/`--sim-seed` without `--sim-sweep` would silently
-            // run the default figure subset and leave a stale
-            // BENCH_sim.json for a later --check-sim to bless.
-            eprintln!("--seeds/--sim-seed only apply to --sim-sweep (try --help)");
-            std::process::exit(2);
-        }
-        if plans_given && !options.fig_explore {
-            eprintln!("--plans only applies to --fig-explore (try --help)");
-            std::process::exit(2);
         }
         if !any {
             // Default: a representative quick subset.
@@ -261,103 +168,9 @@ fn main() {
         let result = scenarios::record_replay(operations);
         println!("{}", report::render_record_replay(&result));
     }
-    if options.fig_upgrade {
-        let upgrade_report = upgradebench::run(scale);
-        println!("{}", upgrade_report.render());
-        match upgrade_report.write_to(upgradebench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", upgradebench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                upgradebench::DEFAULT_PATH
-            ),
-        }
-    }
     if options.obs_dump {
         let snapshot = varan_obs::global().snapshot();
         println!("{}", snapshot.to_json());
         println!("{}", snapshot.to_prometheus());
-    }
-    if options.sim_sweep {
-        let sweep = simbench::run(options.sim_seeds, options.sim_base_seed);
-        println!("{}", simbench::render(&sweep));
-        match simbench::write_to(&sweep, simbench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", simbench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                simbench::DEFAULT_PATH
-            ),
-        }
-    }
-    if options.fig_explore {
-        let explore_report = explorebench::run(options.explore_plans, options.sim_base_seed);
-        println!("{}", explorebench::render(&explore_report));
-        match explorebench::write_to(&explore_report, explorebench::DEFAULT_PATH) {
-            Ok(()) => println!("wrote {}", explorebench::DEFAULT_PATH),
-            Err(err) => eprintln!(
-                "warning: could not write {}: {err}",
-                explorebench::DEFAULT_PATH
-            ),
-        }
-    }
-    if let Some(path) = &options.replay_plan {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("cannot read {path}: {err}");
-                std::process::exit(1);
-            }
-        };
-        let plan = match varan_sim::FaultPlan::decode(&text) {
-            Ok(plan) => plan,
-            Err(err) => {
-                eprintln!("{path}: not a valid plan file: {err}");
-                std::process::exit(1);
-            }
-        };
-        for line in plan.describe() {
-            println!("{line}");
-        }
-        let first = varan_sim::run_plan(&plan);
-        let second = varan_sim::run_plan(&plan);
-        println!(
-            "trace hash {:#018x} (replay {:#018x}), schedule hash {:#018x}",
-            first.trace_hash, second.trace_hash, first.schedule_hash
-        );
-        if let Some(failure) = &first.failure {
-            eprintln!("invariant failure: {failure}");
-            std::process::exit(1);
-        }
-        if second.trace_hash != first.trace_hash {
-            eprintln!("reproducibility mismatch: the two replays disagree");
-            std::process::exit(1);
-        }
-        println!("replay OK: deterministic, no invariant failures");
-    }
-    if options.check_explore {
-        match explorebench::validate_file(explorebench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", explorebench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_explore check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if options.check_upgrade {
-        match upgradebench::validate_file(upgradebench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", upgradebench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_upgrade check failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if options.check_sim {
-        match simbench::validate_file(simbench::DEFAULT_PATH) {
-            Ok(()) => println!("{} OK", simbench::DEFAULT_PATH),
-            Err(err) => {
-                eprintln!("BENCH_sim check failed: {err}");
-                std::process::exit(1);
-            }
-        }
     }
 }

@@ -1340,7 +1340,15 @@ impl FollowerMonitor {
                     if self.refill_batch() {
                         continue;
                     }
+                    // The flag is raised only after the old leader's last
+                    // publish, so one more refill sees all of it.  Without
+                    // it, events published between the empty refill above
+                    // and this load would be skipped, and the new leader
+                    // would execute and publish those calls a second time.
                     if self.context.is_promoted() {
+                        if self.refill_batch() {
+                            continue;
+                        }
                         return None;
                     }
                     // Nothing staged for this thread: wait (bounded, so the
@@ -1550,6 +1558,11 @@ impl FollowerMonitor {
         self.promotion_handled = true;
         self.table.promote_to_leader();
         self.release_slot();
+        // As leader this version evaluates no rules.  Its scoped set was
+        // written for replaying its predecessor's stream, which it needed
+        // until the drain above finished; left installed, it would silently
+        // mask real divergences once a later hop demotes it.
+        self.rules.remove(self.context.index);
         // Pick up any descriptor transfers still sitting on the data channel
         // (the crashed leader may have died before this follower replayed an
         // event that would have drained them).

@@ -485,11 +485,8 @@ impl UpgradeOrchestrator {
             clock.sleep(ORCHESTRATOR_POLL);
         }
         old_context.handover.reset();
-        // The candidate's canary-era rules were written for replaying the
-        // *previous* leader's stream; as leader it evaluates none, and when
-        // it is demoted by a later hop that hop's retiree rules apply.
-        // Leaving them installed would silently mask real divergences then.
-        self.fleet.scoped_rules().remove(member.index);
+        // The candidate keeps its canary-era rules until it has drained the
+        // old leader's tail: it drops them itself when it takes over.
 
         // 4. The handover is irrevocable from here: leadership has switched.
         //    Wait (bounded — it needs traffic) for the new leader's first

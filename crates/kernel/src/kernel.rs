@@ -316,8 +316,10 @@ impl Kernel {
 
     /// Like [`Kernel::transfer_fd`], but installs the duplicate at the
     /// *same* descriptor number it has in the source process, falling back
-    /// to the lowest free number when that slot is taken.  Returns the
-    /// number actually used.
+    /// to the lowest free number when that slot is taken — unless it holds
+    /// an unbound socket and the source's descriptor is no longer one (the
+    /// re-transfer after `listen`/`connect`), which is replaced in place.
+    /// Returns the number actually used.
     ///
     /// Identity placement is what lets a runtime-attached upgrade candidate
     /// mirror the leader's descriptor table exactly (the same way a
@@ -349,6 +351,18 @@ impl Kernel {
         let mut table = self.inner.processes.lock();
         let entry = table.get(src_pid)?.fd(src_fd)?.clone();
         let destination = table.get_mut(dst_pid)?;
+        // A socket that `listen`/`connect` upgraded is transferred again.
+        // The destination's copy of its unbound state holds this number and
+        // is replaced; the fallback below would put the upgraded socket on
+        // a fresh number and leave the stale copy where the program looks.
+        if let Ok(existing) = destination.fd_mut(src_fd) {
+            if matches!(existing.object, FdObject::UnboundSocket { .. })
+                && !matches!(entry.object, FdObject::UnboundSocket { .. })
+            {
+                *existing = entry;
+                return Ok(src_fd);
+            }
+        }
         match destination.install_fd_at(src_fd, entry.clone()) {
             Ok(fd) => Ok(fd),
             Err(Errno::EEXIST) => destination.install_fd(entry),

@@ -261,6 +261,42 @@ fn identity_fd_transfer_preserves_the_source_number() {
 }
 
 #[test]
+fn identity_transfer_of_a_listening_socket_replaces_its_unbound_copy() {
+    // A joiner linked before the leader's listen() received the socket
+    // while it was still unbound; the re-transfer after listen() must land
+    // on the same number, or a promoted joiner accepts on the stale copy.
+    let kernel = Kernel::new();
+    let leader = kernel.spawn_process("leader");
+    let joiner = kernel.spawn_process("joiner");
+    let sock = kernel.syscall(leader, &SyscallRequest::socket()).result as i32;
+    assert_eq!(
+        kernel.transfer_fd_identity(leader, sock, joiner).unwrap(),
+        sock
+    );
+    kernel.syscall(leader, &SyscallRequest::bind(sock, 7311));
+    assert_eq!(
+        kernel
+            .syscall(leader, &SyscallRequest::listen(sock, 16))
+            .result,
+        0
+    );
+    assert_eq!(
+        kernel.transfer_fd_identity(leader, sock, joiner).unwrap(),
+        sock
+    );
+
+    let client = kernel.spawn_process("client");
+    let conn = kernel.syscall(client, &SyscallRequest::socket()).result as i32;
+    assert_eq!(
+        kernel
+            .syscall(client, &SyscallRequest::connect(conn, 7311))
+            .result,
+        0
+    );
+    assert!(kernel.syscall(joiner, &SyscallRequest::accept(sock)).result >= 0);
+}
+
+#[test]
 fn fork_and_exit_lifecycle() {
     let kernel = Kernel::new();
     let parent = kernel.spawn_process("parent");

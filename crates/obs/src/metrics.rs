@@ -393,11 +393,6 @@ pub struct Metrics {
     pub joiner_catch_up_nanos: Histogram,
     /// Handover request → new leader publishing.
     pub promote_latency_nanos: Histogram,
-    /// Client-observed request latency measured from the *intended* send
-    /// time of an open-loop arrival schedule — never from the moment the
-    /// client got around to sending — so a stalled server inflates this
-    /// histogram instead of silently thinning it (coordinated omission).
-    pub request_latency_nanos: Histogram,
 }
 
 /// Sampling interval for the capture histogram: every 64th capture takes
@@ -441,7 +436,6 @@ impl Metrics {
             syscall_capture_nanos: self.syscall_capture_nanos.snapshot(),
             joiner_catch_up_nanos: self.joiner_catch_up_nanos.snapshot(),
             promote_latency_nanos: self.promote_latency_nanos.snapshot(),
-            request_latency_nanos: self.request_latency_nanos.snapshot(),
         }
     }
 }
@@ -477,7 +471,6 @@ pub struct MetricsSnapshot {
     pub syscall_capture_nanos: HistogramSnapshot,
     pub joiner_catch_up_nanos: HistogramSnapshot,
     pub promote_latency_nanos: HistogramSnapshot,
-    pub request_latency_nanos: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -537,7 +530,6 @@ impl MetricsSnapshot {
         self.syscall_capture_nanos.merge(&other.syscall_capture_nanos);
         self.joiner_catch_up_nanos.merge(&other.joiner_catch_up_nanos);
         self.promote_latency_nanos.merge(&other.promote_latency_nanos);
-        self.request_latency_nanos.merge(&other.request_latency_nanos);
     }
 }
 

@@ -3,8 +3,8 @@
 //! prometheus-style exposition text.
 //!
 //! The JSON layout is deliberately flat with prefixed histogram keys
-//! (`promote_latency_nanos_count`, …) so the minimal substring parsers the
-//! bench validators use can extract any field unambiguously.
+//! (`promote_latency_nanos_count`, …) so a substring search can extract any
+//! field unambiguously.
 
 use std::fmt::Write as _;
 
@@ -90,8 +90,7 @@ impl MetricsSnapshot {
         histogram_json(&mut out, "publish_gate_wait_nanos", &self.publish_gate_wait_nanos, true);
         histogram_json(&mut out, "syscall_capture_nanos", &self.syscall_capture_nanos, true);
         histogram_json(&mut out, "joiner_catch_up_nanos", &self.joiner_catch_up_nanos, true);
-        histogram_json(&mut out, "promote_latency_nanos", &self.promote_latency_nanos, true);
-        histogram_json(&mut out, "request_latency_nanos", &self.request_latency_nanos, false);
+        histogram_json(&mut out, "promote_latency_nanos", &self.promote_latency_nanos, false);
         let _ = writeln!(out, "}}");
         out
     }
@@ -159,7 +158,6 @@ impl MetricsSnapshot {
             ("varan_syscall_capture_nanos", &self.syscall_capture_nanos),
             ("varan_joiner_catch_up_nanos", &self.joiner_catch_up_nanos),
             ("varan_promote_latency_nanos", &self.promote_latency_nanos),
-            ("varan_request_latency_nanos", &self.request_latency_nanos),
         ] {
             let _ = writeln!(out, "# TYPE {name} histogram");
             let mut cumulative = 0u64;
@@ -209,7 +207,6 @@ mod tests {
         assert!(json.contains("\"promotions\": 2"), "{json}");
         assert!(json.contains("\"promote_latency_nanos_count\": 2"), "{json}");
         assert!(json.contains("\"promote_latency_nanos_p999\": "), "{json}");
-        assert!(json.contains("\"request_latency_nanos_count\": 0"), "{json}");
         assert!(json.contains("\"follower_lag_max\": 17"), "{json}");
         // Empty histograms render empty bucket lists, not 65 zeros.
         assert!(json.contains("\"joiner_catch_up_nanos_buckets\": []"), "{json}");

@@ -23,8 +23,8 @@
 //! re-salt the plan (same scenario, different seeded interleaving), which
 //! is where the explorer's schedule diversity comes from: distinct
 //! interleaving fingerprints are counted over **all** executions, and
-//! `BENCH_explore.json` reports that count against a random sweep given
-//! the same number of distinct plans (one execution each).
+//! `tests/explore_guided.rs` holds that count to at least 3× a random
+//! sweep given the same number of distinct plans (one execution each).
 //!
 //! ## Determinism of the evolution itself
 //!
@@ -110,7 +110,7 @@ pub struct ExploreReport {
     /// Failing plans (invariant violations and determinism mismatches).
     pub failures: Vec<ShrunkFailure>,
     /// Encoded plan files for the first few failures, replayable with
-    /// `varan-bench --replay-plan`.
+    /// `cargo run -p varan-sim --example explore -- --plan <file>`.
     pub failure_plans: Vec<String>,
     /// Wall time, milliseconds.
     pub wall_ms: u64,

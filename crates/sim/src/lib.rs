@@ -29,7 +29,8 @@
 //!   outcome class, journal recovery results, upgrade stage outcomes and
 //!   all invariant verdicts are identical on every run of the same seed —
 //!   regardless of how the host scheduler interleaved the threads.
-//!   `figures --sim-sweep` asserts this by double-running seeds.
+//!   `tests/sweep_determinism.rs` asserts this by double-running seeds
+//!   and whole sweeps.
 //! * **Schedule-dependent texture** — which thread ran when, which
 //!   follower won a promotion race, how far a joiner lagged.  The seeded
 //!   driver *perturbs* these (virtual-time stalls at syscall boundaries)

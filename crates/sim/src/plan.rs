@@ -742,8 +742,9 @@ impl FaultPlan {
     /// Serialises the plan to the `varan-plan/v1` text format — one
     /// `key value` line per field, one `fault ...` line per fault.  The
     /// explorer writes every corpus survivor and every failure in this
-    /// format so a single interesting plan can be replayed (`varan-bench
-    /// --replay-plan <file>`) without regenerating the whole corpus.
+    /// format so a single interesting plan can be replayed (`cargo run -p
+    /// varan-sim --example explore -- --plan <file>`) without regenerating
+    /// the whole corpus.
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::new();

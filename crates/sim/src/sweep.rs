@@ -1,6 +1,6 @@
 //! The seed sweep: run N consecutive seeds, spot-check same-seed
 //! reproducibility, shrink failures, and aggregate the metrics
-//! `figures --sim-sweep` writes to `BENCH_sim.json`.
+//! `tests/sweep_determinism.rs` asserts on for the default 1000 seeds.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -55,8 +55,8 @@ pub struct SweepReport {
     /// Same-seed double-runs whose trace hashes differed (must be 0).
     pub determinism_mismatches: u64,
     /// Seeds that injected interior journal corruption and saw the scrub
-    /// detect it (a `Corrupt` report, never a silent absorption).  The CI
-    /// gate requires this coverage to stay non-trivial.
+    /// detect it (a `Corrupt` report, never a silent absorption).  The
+    /// 1000-seed sweep test requires this coverage to stay non-trivial.
     pub journal_corruptions_detected: u64,
     /// Seeds whose isolated telemetry registry recorded at least one
     /// tracepoint — those seeds' trace rings are folded into `trace_hash`,

