@@ -9,8 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::crc32c::crc32c;
-
 /// Size, in bytes, of a single event: exactly one cache line.
 pub const EVENT_SIZE: usize = 64;
 
@@ -370,10 +368,15 @@ impl Event {
         !self.shared.is_null()
     }
 
-    /// The event's replay signature: a CRC32C over the identity fields a
-    /// follower can compute *before* replaying the call — kind, sysno, tid
-    /// and the inline arguments — widened to `u64` for the per-slot
-    /// signature lane.
+    /// The event's replay signature: a multiply-xor-rotate mix of the
+    /// identity fields a follower can compute *before* replaying the call —
+    /// kind, sysno, tid (packed into one word) and the inline arguments.
+    ///
+    /// Every step of the mix is a bijection of the running state, so two
+    /// events that differ in any single identity field always get different
+    /// signatures.  The signature only gates the divergence fast path: a
+    /// batch whose folded digest mismatches is re-walked event by event, so
+    /// the mix needs no CRC-strength error detection.
     ///
     /// The Lamport clock, the leader's result and the payload handle are
     /// deliberately excluded: those are assigned by the leader, so a
@@ -382,15 +385,14 @@ impl Event {
     /// per batch ([`fold_signature`]) instead of byte-comparing events.
     #[must_use]
     pub fn signature(&self) -> u64 {
-        let mut bytes = [0u8; 1 + 2 + 4 + 8 * EVENT_INLINE_ARGS];
-        bytes[0] = self.kind as u8;
-        bytes[1..3].copy_from_slice(&self.sysno.to_le_bytes());
-        bytes[3..7].copy_from_slice(&self.tid.to_le_bytes());
-        for (i, arg) in self.args.iter().enumerate() {
-            let at = 7 + i * 8;
-            bytes[at..at + 8].copy_from_slice(&arg.to_le_bytes());
+        const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+        let identity =
+            u64::from(self.kind as u8) | u64::from(self.sysno) << 8 | u64::from(self.tid) << 24;
+        let mut sig = identity.wrapping_mul(MUL);
+        for &arg in &self.args {
+            sig = (sig.rotate_left(23) ^ arg).wrapping_mul(MUL);
         }
-        u64::from(crc32c(&bytes))
+        sig ^ (sig >> 32)
     }
 }
 
@@ -474,6 +476,54 @@ mod tests {
         assert_ne!(base.signature(), Event::syscall(2, &[3, 0, 512], 512).signature());
         assert_ne!(base.signature(), Event::syscall(1, &[4, 0, 512], 512).signature());
         assert_ne!(base.signature(), Event::signal(1).signature());
+
+        // Seeded single-field changes across every identity field: each
+        // one must move the signature.
+        let mut state = 0x5EED_5167_0000_0001u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let event = |kind, sysno, tid, args: [u64; EVENT_INLINE_ARGS]| {
+            Event::syscall(sysno, &args, 0)
+                .with_kind(kind)
+                .with_tid(tid)
+        };
+        for round in 0..10_000u64 {
+            let kind = EventKind::from_u8((next() % 8) as u8).unwrap();
+            let (sysno, tid) = (next() as u16, next() as u32);
+            let args = [next(), next(), next(), next()];
+            let original = event(kind, sysno, tid, args);
+            // Half the changes flip a single bit, half xor a random mask.
+            let mut delta = next();
+            if round % 2 == 0 {
+                delta = 1 << (delta % 64);
+            }
+            delta = delta.max(1);
+            let field = round % 7;
+            let changed = match field {
+                0 => {
+                    let other = (kind as u64 + 1 + delta % 7) % 8;
+                    event(EventKind::from_u8(other as u8).unwrap(), sysno, tid, args)
+                }
+                1 => event(kind, sysno ^ (delta as u16).max(1), tid, args),
+                2 => event(kind, sysno, tid ^ (delta as u32).max(1), args),
+                arg => {
+                    let mut args = args;
+                    args[arg as usize - 3] ^= delta;
+                    event(kind, sysno, tid, args)
+                }
+            };
+            assert_ne!(original, changed);
+            assert_ne!(
+                original.signature(),
+                changed.signature(),
+                "round {round}: change to field {field} left the signature unchanged"
+            );
+        }
     }
 
     #[test]

@@ -1175,6 +1175,11 @@ impl EventJournal {
             }
         }
         drop(inner);
+        // A cached decode pins a whole segment's payloads; drop the ones
+        // retention just deleted, which no reader can be served from again.
+        self.read_cache
+            .lock()
+            .retain(|entry| entry.first_seq + entry.records.len() as u64 > seq);
         let shard = u64::from(self.config.shard.unwrap_or(0));
         self.obs.trace("journal.anchor", shard, seq);
         if retired > 0 {
@@ -1231,6 +1236,9 @@ impl EventJournal {
         front.len = keep.len() as u64;
         front.path = new_path;
         drop(inner);
+        self.read_cache
+            .lock()
+            .retain(|entry| entry.path != old_path);
         let _ = std::fs::remove_file(&old_path);
         let removed = anchor - old_first;
         self.obs.metrics.journal_compactions.add(1);
@@ -1395,6 +1403,47 @@ mod tests {
             assert_eq!(decoded, original);
             assert_eq!(cursor, bytes.len());
         }
+    }
+
+    #[test]
+    fn a_segment_written_by_the_byte_wise_crc_reopens_cleanly() {
+        // A one-record sealed segment as the byte-at-a-time CRC32C wrote it
+        // (frame CRC 0x41D0E921 at bytes 135..139, then the trailer): the
+        // sliced CRC must reproduce it bit for bit and reopen it unscrubbed.
+        const GOLDEN: [&str; 5] = [
+            "56524e4a53454732000000000000000001000002000000070000000000000028",
+            "0000000000000003000000000000000010000000000000280000000000000000",
+            "0000000000000000000000000000000000000000000000280000000000000000",
+            "0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20",
+            "2122232425262721e9d04156524e4a54524c321419e105dd678c89",
+        ];
+        let golden: Vec<u8> = GOLDEN
+            .concat()
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        let record = JournalRecord {
+            kind: EventKind::Syscall,
+            sysno: 0,
+            tid: 2,
+            clock: 7,
+            result: 40,
+            args: [3, 0x1000, 40, 0, 0, 0],
+            payload: Some((0..40u8).collect()),
+        };
+        let mut frame = Vec::new();
+        assert_eq!(record.encode_into(&mut frame), 0x41D0_E921);
+        assert_eq!(encode_segment(0, std::slice::from_ref(&record)), golden);
+
+        let dir = temp_dir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(segment_path(&dir, "seg-", 0), &golden).unwrap();
+        let journal = EventJournal::open(JournalConfig::new(&dir)).unwrap();
+        assert!(journal.scrub_reports().is_empty());
+        let (_, records) = journal.read_from(0, usize::MAX).unwrap();
+        assert_eq!(records, vec![record]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1843,6 +1892,27 @@ mod tests {
         assert_eq!(journal.tail_sequence(), 20);
         let (_, records) = journal.read_from(10, usize::MAX).unwrap();
         assert_eq!(records, (10..20).map(record).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retention_and_compaction_drop_cached_decodes_of_removed_segments() {
+        let dir = temp_dir("cache-prune");
+        let journal = EventJournal::open(JournalConfig::new(&dir).with_segment_records(4)).unwrap();
+        for seed in 0..10u64 {
+            journal.append(record(seed)).unwrap();
+        }
+        // Reading from 0 decodes both sealed segments, [0, 4) and [4, 8).
+        journal.read_from(0, usize::MAX).unwrap();
+        assert_eq!(journal.read_cache.lock().len(), 2);
+        // Retention deletes [0, 4); compaction replaces [4, 8) by [6, 8).
+        journal.set_anchor(6);
+        assert_eq!(journal.read_cache.lock().len(), 1);
+        assert_eq!(journal.compact_to_anchor().unwrap(), 2);
+        assert!(journal.read_cache.lock().is_empty());
+        let (start, records) = journal.read_from(6, usize::MAX).unwrap();
+        assert_eq!(start, 6);
+        assert_eq!(records, (6..10).map(record).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -129,10 +129,6 @@ impl FreeList {
         self.stack.push(offset);
         true
     }
-
-    fn is_empty(&self) -> bool {
-        self.stack.is_empty()
-    }
 }
 
 #[derive(Debug)]
@@ -293,21 +289,12 @@ impl PoolAllocator {
     /// exhausted.
     pub fn alloc(&self, len: usize) -> Result<SharedRegion, RingError> {
         let bucket_index = self.bucket_for(len)?;
-        let bucket = &self.buckets[bucket_index];
-        let offset = {
-            let mut free = bucket.free.lock();
-            match free.pop() {
-                Some(offset) => offset,
-                None => {
-                    drop(free);
-                    self.grow_bucket(bucket_index)?;
-                    bucket
-                        .free
-                        .lock()
-                        .pop()
-                        .expect("grow_bucket must add chunks to the free list")
-                }
-            }
+        // Pop in its own statement: the guard must be released before
+        // `grow_bucket` locks the same free list.
+        let popped = self.buckets[bucket_index].free.lock().pop();
+        let offset = match popped {
+            Some(offset) => offset,
+            None => self.grow_bucket(bucket_index)?,
         };
         self.live_chunks.fetch_add(1, Ordering::Relaxed);
         self.total_allocs.fetch_add(1, Ordering::Relaxed);
@@ -329,13 +316,17 @@ impl PoolAllocator {
     }
 
     /// Carves a new segment for `bucket_index`, adding its chunks to the free
-    /// list.
-    fn grow_bucket(&self, bucket_index: usize) -> Result<(), RingError> {
+    /// list, and returns one chunk for the caller.
+    ///
+    /// The caller's chunk is taken inside the grow lock's critical section:
+    /// were it popped after the lock is released, other threads could drain
+    /// the new chunks first and leave the caller with an empty free list.
+    fn grow_bucket(&self, bucket_index: usize) -> Result<u32, RingError> {
         let _guard = self.grow_lock.lock();
         let bucket = &self.buckets[bucket_index];
         // Another thread may have grown the bucket while we waited.
-        if !bucket.free.lock().is_empty() {
-            return Ok(());
+        if let Some(offset) = bucket.free.lock().pop() {
+            return Ok(offset);
         }
         let chunk_size = bucket.chunk_size;
         let segment_bytes = chunk_size * self.config.chunks_per_segment;
@@ -356,10 +347,10 @@ impl PoolAllocator {
         };
         self.segments.write().push(segment);
         let mut free = bucket.free.lock();
-        for chunk in 0..self.config.chunks_per_segment {
+        for chunk in 1..self.config.chunks_per_segment {
             free.push(base + (chunk * chunk_size) as u32);
         }
-        Ok(())
+        Ok(base)
     }
 
     /// Maps a global arena offset to `(segment index, offset inside it)`.
@@ -705,5 +696,32 @@ mod tests {
         assert_eq!(stats.live_chunks, 0);
         assert_eq!(stats.total_allocs, 200);
         assert_eq!(stats.total_frees, 200);
+    }
+
+    #[test]
+    fn racing_growers_each_get_a_chunk() {
+        // Two chunks per segment and no frees: the bucket grows every other
+        // allocation, so callers constantly race a grower for its new chunks.
+        const THREADS: usize = 8;
+        const ALLOCS: usize = 1_000;
+        let pool = PoolAllocator::new(PoolConfig {
+            pool_size: 64 * THREADS * ALLOCS,
+            bucket_sizes: vec![64],
+            chunks_per_segment: 2,
+        });
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ALLOCS {
+                        pool.alloc(64).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.live_chunks, (THREADS * ALLOCS) as u64);
+        assert_eq!(stats.segments, (THREADS * ALLOCS / 2) as u64);
     }
 }
